@@ -66,7 +66,6 @@ func main() {
 	summary := flag.Bool("summary", false, "print the per-rank phase totals and compute/communication overlap table")
 	faultsFile := flag.String("faults", "", "inject faults from a schedule file (one event per line, e.g. `100ms crash rank=3`)")
 	integrity := flag.String("integrity", "off", "silent-corruption plane: off, detect (observe only; exit 4 on corruption), recover (retransmit + micro-rollback)")
-	simParallel := flag.Int("sim-parallel", -1, "simulation event-kernel workers: 0 = sequential, N >= 2 = parallel lookahead with N workers, default = auto (one per host core); results are bit-identical either way")
 	chaosFile := flag.String("chaos", "", "run the seeded chaos harness from a spec file (see configs/chaos_demo.txt) instead of a training run; prints one invariant summary line")
 	chaosSeed := flag.Int64("chaos-seed", 0, "run the chaos harness on the default spec with this seed (shorthand for a -chaos file setting only seed)")
 	flag.Parse()
@@ -186,17 +185,6 @@ func main() {
 		fatalConfig(err)
 	}
 	cfg.Integrity = mode
-
-	// The flag speaks operator language (0 = sequential, default auto);
-	// Config speaks scheduler language (0 = auto, 1 = sequential).
-	switch {
-	case *simParallel < 0:
-		cfg.SimParallel = 0
-	case *simParallel == 0:
-		cfg.SimParallel = 1
-	default:
-		cfg.SimParallel = *simParallel
-	}
 
 	var rec *scaffe.Trace
 	if *traceFile != "" || *gantt || *summary {

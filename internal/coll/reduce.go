@@ -19,10 +19,6 @@ func (b *binomialReducer) Name() string { return "binomial" }
 
 //scaffe:hotpath
 func (b *binomialReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	// Collective entry: the reducer's shared per-rank state table and
-	// the cross-rank traffic below are outside any one group, so a
-	// batched segment serializes here (no-op in sequential mode).
-	r.Proc.Exclusive()
 	me := b.c.Rank(r)
 	size := b.c.Size()
 	if size == 1 {
@@ -67,10 +63,6 @@ type chainReducer struct {
 func (cr *chainReducer) Name() string { return "chain" }
 
 func (cr *chainReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	// Collective entry: the reducer's shared per-rank state table and
-	// the cross-rank traffic below are outside any one group, so a
-	// batched segment serializes here (no-op in sequential mode).
-	r.Proc.Exclusive()
 	me := cr.c.Rank(r)
 	size := cr.c.Size()
 	if size == 1 {

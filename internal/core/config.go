@@ -257,15 +257,8 @@ type Config struct {
 	// — ~240 MB for AlexNet — that pure throughput runs never read.
 	CaptureFinalParams bool
 
-	// SimParallel selects the simulation kernel's execution mode: 0
-	// (the default) auto-sizes to the host's cores (runtime.NumCPU), 1
-	// forces the sequential event loop, and N >= 2 arms conservative
-	// parallel lookahead with up to N concurrent per-rank segments
-	// (sim.Kernel.SetParallel; DESIGN.md §13). Either mode produces
-	// bit-identical traces, totals, and losses; negative values are
-	// rejected. Parallel execution engages only for the fault-free MPI
-	// data-parallel designs — fault- or integrity-armed runs and the
-	// shared-state baselines always use the sequential loop.
+	// Deprecated: ignored; the simulator always runs its sequential
+	// kernel (DESIGN.md §13).
 	SimParallel int
 
 	// Seed makes parameter init and data order deterministic.
@@ -413,8 +406,6 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("core: chunk retransmit budget must be positive, got %d", c.RetransmitBudget)
 	case c.DivergeFactor < 0:
 		return fmt.Errorf("core: divergence factor must be positive, got %g", c.DivergeFactor)
-	case c.SimParallel < 0:
-		return fmt.Errorf("core: simulation worker count must be non-negative (0 = auto, 1 = sequential), got %d", c.SimParallel)
 	case c.EvictWindow < 0:
 		return fmt.Errorf("core: eviction window must be positive, got %d", c.EvictWindow)
 	case c.JoinRetries < 0:

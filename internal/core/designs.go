@@ -160,9 +160,6 @@ func (st *runState) buildCNTK(g *sched.Graph, r *mpi.Rank) {
 	st.addForward(g, w)
 	st.addBackward(g, w)
 	g.Add(0, sched.Reduce, "aggregation", "host-allreduce", func(x *sched.Ctx) {
-		// Direct cluster transfers reserve the node's shared PCIe/host
-		// links, outside this rank's group: serialize the segment first.
-		x.P.Exclusive()
 		gradBytes := w.packedGrads.Bytes
 		_, end := st.cluster.Transfer(x.P.Now(), r.Dev.ID, host, gradBytes, topology.ModeAuto)
 		x.P.WaitUntil(end)
@@ -221,9 +218,8 @@ type labelTable struct {
 }
 
 // labels returns the run's interned label table, building it on first
-// use. First use happens during graph construction — either eagerly in
-// run() or on the cooperatively-scheduled rank procs — so no locking
-// is needed.
+// use. First use happens during graph construction on the
+// cooperatively-scheduled rank procs, so no locking is needed.
 //
 //scaffe:coldpath first-use label interning, cached in st.lbl; every later call returns the table
 func (st *runState) labels() *labelTable {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"scaffe/internal/coll"
 	"scaffe/internal/data"
@@ -101,20 +100,6 @@ type runState struct {
 // parameters.
 func updateFLOPs(n int) float64 { return solver.UpdateFLOPs(n) }
 
-// parallelDesign reports whether the design's ranks are isolated
-// enough for per-rank lookahead groups: the MPI data-parallel designs,
-// whose cross-rank interactions all pass through the Exclusive-guarded
-// entry points. The intra-node baselines (shared reader, IPC
-// reduction tree, the PS server's serialized links) and the
-// model-parallel pipeline stay sequential.
-func parallelDesign(d Design) bool {
-	switch d {
-	case SCB, SCOB, SCOBR, SCOBRF, CNTKLike:
-		return true
-	}
-	return false
-}
-
 // Run executes one training configuration and reports its results.
 func Run(cfg Config) (*Result, error) {
 	res, _, err := run(cfg)
@@ -174,20 +159,6 @@ func run(cfg Config) (*Result, *runState, error) {
 	if cfg.MaxVirtualTime > 0 {
 		k.SetDeadline(sim.Time(cfg.MaxVirtualTime))
 	}
-	// Conservative parallel lookahead (DESIGN.md §13): fault-free MPI
-	// data-parallel runs may shard same-instant per-rank segments across
-	// cores, bounded by the cluster's minimum cross-rank horizon. Armed
-	// or not, every observable output is bit-identical; fault- and
-	// integrity-armed runs stay sequential (revocation unwinds and
-	// rollbacks are whole-world serial protocols), as do the baselines
-	// whose ranks share state (CaffeMT's reader, the PS server's links).
-	if pl == nil && parallelDesign(cfg.Design) {
-		workers := cfg.SimParallel
-		if workers == 0 {
-			workers = runtime.NumCPU()
-		}
-		k.SetParallel(workers, cluster.MinLookahead())
-	}
 	if cfg.Integrity != IntegrityOff {
 		st.integ = &IntegrityReport{Mode: cfg.Integrity}
 		st.world.Integrity = &mpi.Integrity{
@@ -237,9 +208,6 @@ func run(cfg Config) (*Result, *runState, error) {
 	st.buildReaders(k, localBatch)
 	if st.ft == nil && cfg.Design != ModelParallel {
 		st.graphs = make([]*sched.Graph, cfg.GPUs)
-		// Intern the node labels before the rank procs build their
-		// graphs (possibly concurrently under the parallel kernel).
-		st.labels()
 	}
 
 	mainFn := func(r *mpi.Rank) {
@@ -255,17 +223,9 @@ func run(cfg Config) (*Result, *runState, error) {
 			st.runRankFT(r, sink)
 			return
 		}
-		// Under the parallel kernel each rank's main proc is its own
-		// lookahead group; everything it touches outside the group
-		// (mailboxes, shared links, the trace sink) serializes through
-		// Proc.Exclusive at the entry points.
-		if k.Parallel() > 0 {
-			r.Proc.SetGroup(r.ID)
-		}
 		// Fault-free membership never changes, so the rank's graph is
 		// built once and re-executed with the iteration threaded through
-		// sched.Ctx.It. Each rank writes only its own slot, so the cache
-		// is safe under the parallel kernel too.
+		// sched.Ctx.It.
 		g := st.buildIteration(r)
 		st.graphs[r.ID] = g
 		for it := cfg.StartIteration; it < cfg.Iterations; it++ {

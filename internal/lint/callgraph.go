@@ -25,18 +25,12 @@ import (
 //     treated as "may invoke from this context", which over-approximates
 //     exactly the way a contract checker must.
 //
-// Two things cut edges out of contract propagation:
-//
-//   - //scaffe:coldpath (declaration- or call-site-level, reason
-//     mandatory) marks a deliberate slow path — see propagate.go;
-//   - stage guards: an edge whose call site sits in serial context
-//     (inside or after a Proc.stage check, or after a Proc.Exclusive
-//     demotion — see exclusive.go) cannot run speculatively, so the
-//     //scaffe:parallel obligation does not flow through it. The hotpath
-//     obligation still does: guarding is about concurrency, not heat.
+// //scaffe:coldpath (declaration- or call-site-level, reason mandatory)
+// cuts edges out of contract propagation: it marks a deliberate slow
+// path — see propagate.go.
 //
 // Calls inside panic arguments create no edges at all: a panicking path
-// has already left both the steady state and the speculative segment.
+// has already left the steady state.
 
 // FuncNode is one call-graph node: a declared function/method, or a
 // function literal (which analyzes as its own body even though it nests
@@ -49,9 +43,9 @@ type FuncNode struct {
 	Encl *FuncNode     // for literals: the enclosing node
 	Name string        // "sched.Graph.runNode", "core.addForward.func"
 
-	// Hot/Par are the direct annotations; ColdReason is a non-empty
+	// Hot is the direct annotation; ColdReason is a non-empty
 	// declaration-level //scaffe:coldpath reason.
-	Hot, Par   bool
+	Hot        bool
 	ColdReason string
 
 	edges []edge
@@ -76,9 +70,6 @@ func (n *FuncNode) Pos() token.Pos {
 // edge is one may-call relation.
 type edge struct {
 	to *FuncNode
-	// serial marks a call site in serial context (stage-guarded or
-	// post-Exclusive): the parallel obligation does not propagate.
-	serial bool
 	// cold marks a call site suppressed by //scaffe:coldpath: no
 	// obligation propagates.
 	cold bool
@@ -168,7 +159,6 @@ func (g *CallGraph) indexPackage(pkg *Pkg) {
 				Obj:        obj,
 				Name:       declName(pkg, fd),
 				Hot:        isHotpath(fd),
-				Par:        isParallelSection(fd),
 				ColdReason: coldpathReason(fd),
 			}
 			g.Nodes = append(g.Nodes, n)
@@ -362,18 +352,13 @@ func (g *CallGraph) collectArgFlows(n *FuncNode) {
 // buildEdges wires n's outgoing edges.
 func (g *CallGraph) buildEdges(n *FuncNode) {
 	pkg := n.Pkg
-	serial := serialSpans(pkg, n.Body())
 	cold := coldCallLines(pkg, n)
 	addEdge := func(to *FuncNode, site token.Pos) {
 		if to == nil || to == n {
 			return
 		}
 		line := pkg.Fset.Position(site).Line
-		n.edges = append(n.edges, edge{
-			to:     to,
-			serial: serial.contains(site),
-			cold:   cold[line],
-		})
+		n.edges = append(n.edges, edge{to: to, cold: cold[line]})
 	}
 	inspectBody(n, func(x ast.Node) {
 		switch node := x.(type) {

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // The determinism pass guards the repo's bit-identical-replay
@@ -14,7 +13,7 @@ import (
 // order. It applies to the simulator-facing packages (internal/sim,
 // core, sched, coll, mpi) whose outputs the golden tests pin.
 //
-// Four rules:
+// Three rules:
 //
 //  1. no time.Now / time.Since — the simulator's virtual clock is the
 //     only time source;
@@ -22,30 +21,13 @@ import (
 //     seeded *rand.Rand so runs replay;
 //  3. no `range` over a map whose body feeds an ordered output (trace
 //     span emission or an MPI send) — map order is randomized per run,
-//     so the resulting span/wire order would differ run to run;
-//  4. code that runs inside the speculative part of a
-//     parallel-lookahead batch (DESIGN.md §13) — annotated
-//     //scaffe:parallel, or reachable from an annotated root through
-//     non-serial call-graph edges — must not touch package-level
-//     variables or send on channels other than the kernel's
-//     wake/yield/home mailboxes. Speculative segments run
-//     concurrently; any shared state they reach must instead be
-//     staged on the segment or deferred behind Proc.Exclusive.
-//     Stage-guarded and post-Exclusive regions of a body are exempt:
-//     they provably run on the serial commit lane (see exclusive.go).
+//     so the resulting span/wire order would differ run to run.
 
 // globalRandAllowed lists math/rand package functions that are pure
 // constructors and therefore deterministic to call.
 var globalRandAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
-func runDeterminism(prog *Program, pkg *Pkg, report func(pos token.Pos, msg string)) {
-	for _, n := range prog.Graph.NodesOf(pkg) {
-		chain, ok := prog.Par[n]
-		if !ok {
-			continue
-		}
-		checkParallelSection(pkg, n, chainSuffix("parallel", chain, n.Par), coldGuard(pkg, n, report))
-	}
+func runDeterminism(_ *Program, pkg *Pkg, report func(pos token.Pos, msg string)) {
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
@@ -108,84 +90,6 @@ func checkMapRange(pkg *Pkg, rng *ast.RangeStmt, report func(pos token.Pos, msg 
 		}
 		return true
 	})
-}
-
-// --- //scaffe:parallel -----------------------------------------------------
-
-const parallelDirective = "//scaffe:parallel"
-
-// isParallelSection reports whether a function declaration carries the
-// //scaffe:parallel annotation in its doc comment.
-func isParallelSection(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if text := strings.TrimSpace(c.Text); text == parallelDirective ||
-			strings.HasPrefix(text, parallelDirective+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// mailboxChannels names the struct fields that are the kernel's
-// sanctioned baton channels: a proc's wake/yield pair and the kernel's
-// home channel. Sends on them are the cooperative handoff protocol
-// itself; every other send from a speculative section reaches state
-// some other segment may be touching concurrently.
-var mailboxChannels = map[string]bool{"wake": true, "yield": true, "home": true}
-
-// checkParallelSection enforces the shared-state rules inside one
-// parallel-obligated function: no package-level variable access, no
-// sends on non-mailbox channels. Serial-context regions (stage-guarded
-// or post-Exclusive) are exempt.
-func checkParallelSection(pkg *Pkg, fn *FuncNode, suffix string, report0 func(pos token.Pos, msg string)) {
-	serial := serialSpans(pkg, fn.Body())
-	report := func(pos token.Pos, msg string) {
-		if serial.contains(pos) {
-			return
-		}
-		report0(pos, msg+suffix)
-	}
-	inspectBody(fn, func(n ast.Node) {
-		switch node := n.(type) {
-		case *ast.Ident:
-			if v := pkgLevelVar(pkg, node); v != nil {
-				report(node.Pos(), fmt.Sprintf(
-					"%s accesses package-level variable %s; speculative segments run concurrently — stage the effect on the segment or take Proc.Exclusive first", parallelDirective, v.Name()))
-			}
-		case *ast.SendStmt:
-			if !isMailboxSend(node.Chan) {
-				report(node.Pos(), fmt.Sprintf(
-					"%s sends on a non-mailbox channel; only the kernel's wake/yield/home batons may be signalled from a speculative segment", parallelDirective))
-			}
-		}
-	})
-}
-
-// pkgLevelVar resolves id to a package-level variable, or nil. Struct
-// fields, locals, parameters, and functions all pass.
-func pkgLevelVar(pkg *Pkg, id *ast.Ident) *types.Var {
-	obj := pkg.Info.Uses[id]
-	if obj == nil {
-		obj = pkg.Info.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() || v.Pkg() == nil {
-		return nil
-	}
-	if v.Parent() != v.Pkg().Scope() {
-		return nil
-	}
-	return v
-}
-
-// isMailboxSend reports whether the send target is a struct field
-// named as one of the kernel batons.
-func isMailboxSend(ch ast.Expr) bool {
-	sel, ok := ch.(*ast.SelectorExpr)
-	return ok && mailboxChannels[sel.Sel.Name]
 }
 
 // orderedSink names the ordered output a call writes to, or "".

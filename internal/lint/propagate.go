@@ -1,18 +1,18 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"regexp"
 	"strings"
 )
 
-// Contract propagation (DESIGN.md §15): `//scaffe:hotpath` and
-// `//scaffe:parallel` are obligations on everything the annotated
-// function may reach, not just on its own frame. NewProgram builds the
-// module call graph once and floods both obligations over it; the
-// passes then check every obligated node, naming the annotated root in
-// the diagnostic ("[hotpath via sched.Graph.runNode → coll.Ring.Reduce]")
+// Contract propagation (DESIGN.md §15): `//scaffe:hotpath` is an
+// obligation on everything the annotated function may reach, not just
+// on its own frame. NewProgram builds the module call graph once and
+// floods the obligation over it; the hotpath pass then checks every
+// obligated node, naming the annotated root in the diagnostic ("[hotpath via sched.Graph.runNode → coll.Ring.Reduce]")
 // so a finding three calls deep is still actionable.
 //
 // The escape hatch is `//scaffe:coldpath <reason>`:
@@ -32,19 +32,19 @@ const coldpathDirective = "//scaffe:coldpath"
 var coldpathRe = regexp.MustCompile(`^//scaffe:coldpath(?:\s+(.*\S))?\s*$`)
 
 // Program is the analyzed module: the loaded packages, the call graph
-// over them, and the propagated obligation sets.
+// over them, and the propagated hotpath obligation.
 type Program struct {
 	Pkgs  []*Pkg
 	Graph *CallGraph
 
-	// Hot and Par map every node holding the obligation to the call
+	// Hot maps every node holding the hotpath obligation to the call
 	// chain from an annotated root to the node, inclusive. Directly
 	// annotated nodes map to their own name.
 	Hot map[*FuncNode]string
-	Par map[*FuncNode]string
 
 	// hygiene collects directive-grammar violations (coldpath without a
-	// reason), reported under the nolint pass.
+	// reason, unknown //scaffe: directives), reported under the nolint
+	// pass.
 	hygiene []hygieneIssue
 }
 
@@ -54,29 +54,25 @@ type hygieneIssue struct {
 	msg string
 }
 
-// NewProgram builds the call graph and floods the contracts.
+// NewProgram builds the call graph and floods the hotpath contract.
 func NewProgram(pkgs []*Pkg) *Program {
 	p := &Program{
 		Pkgs:  pkgs,
 		Graph: buildCallGraph(pkgs),
 		Hot:   make(map[*FuncNode]string),
-		Par:   make(map[*FuncNode]string),
 	}
-	// hotpath flows through every non-cold edge: a stage guard affects
-	// who runs the code, not how hot it is. parallel stops at serial
-	// edges — a stage-guarded or post-Exclusive call site cannot run
-	// speculatively.
-	p.propagate(p.Hot, func(n *FuncNode) bool { return n.Hot }, true)
-	p.propagate(p.Par, func(n *FuncNode) bool { return n.Par }, false)
+	p.propagate()
 	p.collectHygiene()
 	return p
 }
 
-// propagate floods one obligation from its directly annotated roots.
-func (p *Program) propagate(out map[*FuncNode]string, direct func(*FuncNode) bool, followSerial bool) {
+// propagate floods the hotpath obligation from its directly annotated
+// roots through every non-cold edge.
+func (p *Program) propagate() {
+	out := p.Hot
 	var queue []*FuncNode
 	for _, n := range p.Graph.Nodes {
-		if direct(n) && n.ColdReason == "" {
+		if n.Hot && n.ColdReason == "" {
 			out[n] = n.Name
 			queue = append(queue, n)
 		}
@@ -85,7 +81,7 @@ func (p *Program) propagate(out map[*FuncNode]string, direct func(*FuncNode) boo
 		n := queue[0]
 		queue = queue[1:]
 		for _, e := range n.edges {
-			if e.cold || (e.serial && !followSerial) {
+			if e.cold {
 				continue
 			}
 			t := e.to
@@ -103,11 +99,11 @@ func (p *Program) propagate(out map[*FuncNode]string, direct func(*FuncNode) boo
 
 // chainSuffix renders the "via" suffix for a propagated (not directly
 // annotated) obligation, or "".
-func chainSuffix(kind, chain string, direct bool) string {
+func chainSuffix(chain string, direct bool) string {
 	if direct || chain == "" {
 		return ""
 	}
-	return " [" + kind + " via " + chain + "]"
+	return " [hotpath via " + chain + "]"
 }
 
 // coldpathReason extracts a declaration-level coldpath reason from fd's
@@ -164,13 +160,26 @@ func fileOf(pkg *Pkg, pos token.Pos) *ast.File {
 	return nil
 }
 
-// collectHygiene scans every comment of the load for malformed coldpath
-// directives.
+// directiveRe extracts the word of a //scaffe:<word> directive.
+var directiveRe = regexp.MustCompile(`^//scaffe:(\S*)`)
+
+// knownDirectives is the annotation grammar (see lint.go); any other
+// //scaffe: word is a typo or a leftover of a retired contract, and
+// would otherwise be silently ignored.
+var knownDirectives = map[string]bool{"hotpath": true, "coldpath": true, "nolint": true}
+
+// collectHygiene scans every comment of the load for unknown
+// //scaffe: directives and malformed coldpath directives.
 func (p *Program) collectHygiene() {
 	for _, pkg := range p.Pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
+					if d := directiveRe.FindStringSubmatch(c.Text); d != nil && !knownDirectives[d[1]] {
+						p.hygiene = append(p.hygiene, hygieneIssue{pkg, c.Pos(),
+							fmt.Sprintf("unknown directive //scaffe:%s; want hotpath, coldpath, or nolint", d[1])})
+						continue
+					}
 					m := coldpathRe.FindStringSubmatch(c.Text)
 					if m == nil {
 						if strings.HasPrefix(c.Text, coldpathDirective) {

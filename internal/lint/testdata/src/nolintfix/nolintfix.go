@@ -1,7 +1,9 @@
 // Package nolintfix exercises the //scaffe:nolint machinery: a
 // well-formed suppression silences its diagnostic, and the linter
 // polices the directives themselves (the want-1 expectations attach to
-// the directive line above, which cannot carry a second comment).
+// the directive line above, which cannot carry a second comment). It
+// also pins the directive grammar: a //scaffe: word other than
+// hotpath, coldpath, or nolint is reported rather than ignored.
 package nolintfix
 
 import "time"
@@ -25,3 +27,8 @@ func badDirectives() time.Time {
 
 	return t.Add(time.Until(u)).Add(time.Until(v))
 }
+
+// retired carries an annotation of a contract the linter does not know.
+//
+//scaffe:parallel
+func retired() {} // want-1 `unknown directive //scaffe:parallel`

@@ -271,11 +271,6 @@ func (r *Rank) NewDeferredRequest(fn func()) *Request {
 //
 //scaffe:hotpath
 func (r *Rank) Isend(c *Comm, to, tag int, buf *gpu.Buffer, mode topology.TransferMode) *Request {
-	// Cross-rank entry: the destination's match queues and the shared
-	// links are outside this rank's group, so a batched segment
-	// serializes here (no-op in sequential mode). Lane-0 discipline
-	// makes r.Proc the executing proc at every MPI entry.
-	r.Proc.Exclusive()
 	r.ftCheck()
 	dst := c.rankAt(to)
 	if dst == r {
@@ -308,9 +303,6 @@ func (r *Rank) Irecv(c *Comm, from, tag int, buf *gpu.Buffer) *Request {
 
 //scaffe:hotpath
 func (r *Rank) irecv(c *Comm, from, tag int, buf *gpu.Buffer, s *Summed) *Request {
-	// Cross-rank entry: posting touches this rank's match queues, which
-	// the sender's Isend also touches (see Isend).
-	r.Proc.Exclusive()
 	r.ftCheck()
 	src := c.rankAt(from)
 	req := r.getRequest(buf)

@@ -321,7 +321,7 @@ func (g *Graph) runNode(n *Node, ctx *Ctx, tracer Tracer) {
 			n.action(ctx)
 		}
 		if n.done != nil {
-			n.done.FireFrom(p)
+			n.done.Fire()
 		}
 		return
 	}
@@ -337,9 +337,6 @@ func (g *Graph) runNode(n *Node, ctx *Ctx, tracer Tracer) {
 		}
 	}
 	if waited := p.Now(); waited > start && n.waitPhase != "" {
-		// The shared trace sink is outside every group: a batched
-		// segment serializes before emitting.
-		p.Exclusive()
 		if n.waitLabel == "" {
 			//scaffe:nolint hotpath built once per node on the first traced wait, then cached
 			n.waitLabel = n.label + "/wait"
@@ -351,10 +348,9 @@ func (g *Graph) runNode(n *Node, ctx *Ctx, tracer Tracer) {
 		n.action(ctx)
 	}
 	if end := p.Now(); end > at && n.phase != "" {
-		p.Exclusive()
 		tracer.NodeSpan(n.lane, n.kind, n.phase, n.label, at, end)
 	}
 	if n.done != nil {
-		n.done.FireFrom(p)
+		n.done.Fire()
 	}
 }

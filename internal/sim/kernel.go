@@ -73,15 +73,6 @@ type Kernel struct {
 	// which migrates across proc goroutines (see loopFrom) — reaches a
 	// terminal state on one of them.
 	home chan struct{}
-
-	// serialResume switches parking procs back to the classic
-	// yield-to-resumer protocol: set while the parallel kernel's commit
-	// loop (or a worker) drives procs with resume(), when a parking proc
-	// must hand control back to its resumer instead of running the event
-	// loop itself.
-	serialResume bool
-
-	par *parKernel // parallel-lookahead state; nil in sequential mode
 }
 
 // New returns a fresh kernel at virtual time zero.
@@ -226,10 +217,6 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 			if p == self {
 				return loopSelf
 			}
-			if k.par != nil && k.par.batchable(ev) {
-				k.par.runBatch(ev, self)
-				continue
-			}
 			p.wake <- struct{}{}
 			return loopHanded
 		case evResumeIf:
@@ -239,10 +226,6 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 			}
 			if p == self {
 				return loopSelf
-			}
-			if k.par != nil && k.par.batchable(ev) {
-				k.par.runBatch(ev, self)
-				continue
 			}
 			p.wake <- struct{}{}
 			return loopHanded
@@ -293,13 +276,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // start at the current virtual time. It may be called before Run or
 // from within any proc or event callback.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:     k,
-		name:  name,
-		wake:  make(chan struct{}),
-		yield: make(chan struct{}),
-		group: -1,
-	}
+	p := &Proc{k: k, name: name, wake: make(chan struct{})}
 	k.procs = append(k.procs, p)
 	k.live++
 	go func() {
@@ -314,24 +291,10 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 				fail = fmt.Errorf("sim: proc %q panicked at %v: %v\n%s", p.name, k.now, rec, debug.Stack())
 			}
 			p.finished = true
-			if s := p.stage; s != nil {
-				// Finishing inside a batch's concurrent part: stage the
-				// bookkeeping for the commit loop (which applies it in
-				// exact global order) and hand the baton to the batch
-				// driver.
-				s.finishing = true
-				s.failure = fail
-				p.yield <- struct{}{}
-				return
-			}
 			if fail != nil && k.failure == nil {
 				k.failure = fail
 			}
 			k.live--
-			if k.serialResume {
-				p.yield <- struct{}{} // the commit loop's resume is waiting
-				return
-			}
 			// The finishing proc owns the baton: keep driving the event
 			// loop here, exactly as park does.
 			if k.loopFrom(nil) == loopTerminal {
@@ -348,29 +311,9 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// resume transfers control to p and blocks until p parks or finishes.
-// Must only be called from kernel context (inside an event callback).
-func (k *Kernel) resume(p *Proc) {
-	if p.finished {
-		return
-	}
-	p.wake <- struct{}{}
-	<-p.yield
-}
-
 // wakeAt schedules p to be resumed at time t.
 //
 //scaffe:hotpath
 func (k *Kernel) wakeAt(p *Proc, t Time) {
 	k.atResume(t, p)
-}
-
-// resumeIf resumes p only if it is still parked on the guarded wait
-// armed with seq. Stale wake events — a completion that fired after
-// its waiter timed out, or a timeout that lost the race with Fire —
-// dissolve here instead of double-resuming the proc.
-func (k *Kernel) resumeIf(p *Proc, seq uint64) {
-	if !p.finished && p.waitArmed && p.waitSeq == seq {
-		k.resume(p)
-	}
 }

@@ -7,7 +7,6 @@ type Proc struct {
 	k        *Kernel
 	name     string
 	wake     chan struct{}
-	yield    chan struct{}
 	finished bool
 	killed   bool
 
@@ -18,20 +17,6 @@ type Proc struct {
 	// twice (a double resume would block the kernel goroutine).
 	waitSeq   uint64
 	waitArmed bool
-
-	// group is the proc's shard for parallel-lookahead execution: procs
-	// in distinct non-negative groups may run concurrently within one
-	// same-instant batch (see parallel.go). Group -1 (the default) marks
-	// the proc serial-only; it never joins a batch.
-	group int
-
-	// stage, when non-nil, marks the proc as running the concurrent part
-	// of a batch segment: kernel-visible side effects (schedules, fires)
-	// are recorded here and replayed by the commit loop in exact global
-	// order. seg is the embedded backing record so staging never
-	// allocates.
-	stage *parSegment
-	seg   parSegment
 }
 
 // procKilled is the panic value a killed proc unwinds with; Spawn's
@@ -69,38 +54,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// SetGroup assigns the proc's parallel-execution shard. Groups must
-// partition all mutable state the procs touch outside Exclusive
-// sections; callers (the engine's group policy) are responsible for
-// that discipline. Negative groups mark the proc serial-only.
-func (p *Proc) SetGroup(g int) { p.group = g }
-
-// Group returns the proc's parallel-execution shard (-1 = serial).
-func (p *Proc) Group() int { return p.group }
-
-// Exclusive demotes the rest of the proc's current segment to the
-// serialized commit lane. Code that touches state outside the proc's
-// own group — MPI mailboxes, shared link resources, the trace sink —
-// must call it first: the proc blocks until every concurrent segment
-// of the batch has finished its speculative part, then continues in
-// exact global order with full state visibility. Outside a batch it
-// is a no-op, so sequential hot paths pay one nil check.
-//
-//scaffe:hotpath
-//scaffe:parallel
-func (p *Proc) Exclusive() {
-	s := p.stage
-	if s == nil {
-		return
-	}
-	s.tail = true
-	p.yield <- struct{}{}
-	<-p.wake
-	if p.killed {
-		panic(procKilled{})
-	}
-}
-
 // park yields control to the kernel and blocks until some event
 // resumes this proc. A killed proc unwinds here instead of returning.
 //
@@ -108,60 +61,27 @@ func (p *Proc) Exclusive() {
 // itself (loopFrom) and hands the baton directly to the next proc —
 // one goroutine switch per segment instead of two — or keeps running
 // with no switch at all when the next event resumes this same proc.
-// Inside a parallel batch (stage set) or a serialized commit lane
-// (serialResume), the proc instead yields back to whoever resumed it.
-//
-//scaffe:parallel
 func (p *Proc) park() {
 	k := p.k
-	if p.stage != nil || k.serialResume {
-		p.yield <- struct{}{}
+	// The loopFrom call is a context switch, not a subroutine: the
+	// parking proc's hot frame ends here and the event loop runs other
+	// procs' events under its own gates (the kernel's //scaffe:hotpath
+	// annotations and the zero-alloc steady-state test), so the caller's
+	// obligations must not flood into it.
+	//
+	//scaffe:coldpath control transfer into the event loop; the kernel's own hotpath gates cover it
+	switch k.loopFrom(p) {
+	case loopSelf:
+		// The next event resumes this proc: keep running.
+	case loopTerminal:
+		k.home <- struct{}{}
 		<-p.wake
-	} else {
-		// The loopFrom call is a context switch, not a subroutine: the
-		// parking proc's hot frame ends here and the event loop runs
-		// other procs' events under its own gates (the kernel's
-		// //scaffe:hotpath annotations and the zero-alloc steady-state
-		// test), so the caller's obligations must not flood into it.
-		//
-		//scaffe:coldpath control transfer into the event loop; the kernel's own hotpath gates cover it
-		switch k.loopFrom(p) {
-		case loopSelf:
-			// The next event resumes this proc: keep running.
-		case loopTerminal:
-			k.home <- struct{}{}
-			<-p.wake
-		case loopHanded:
-			<-p.wake
-		}
+	case loopHanded:
+		<-p.wake
 	}
 	if p.killed {
 		panic(procKilled{})
 	}
-}
-
-// selfWakeAt schedules (or stages) an unconditional self-resume at t.
-//
-//scaffe:hotpath
-//scaffe:parallel
-func (p *Proc) selfWakeAt(t Time) {
-	if s := p.stage; s != nil {
-		s.add(event{kind: evResume, p: p, at: t})
-		return
-	}
-	p.k.atResume(t, p)
-}
-
-// selfResumeIfAt schedules (or stages) a guarded self-resume at t.
-//
-//scaffe:hotpath
-//scaffe:parallel
-func (p *Proc) selfResumeIfAt(t Time, seq uint64) {
-	if s := p.stage; s != nil {
-		s.add(event{kind: evResumeIf, p: p, aux: seq, at: t})
-		return
-	}
-	p.k.atResumeIf(t, p, seq)
 }
 
 // armWait returns a fresh wait sequence number and marks the proc as
@@ -179,42 +99,29 @@ func (p *Proc) Sleep(d Duration) {
 		p.Yield()
 		return
 	}
-	p.selfWakeAt(p.k.now + d)
+	p.k.atResume(p.k.now+d, p)
 	p.park()
 }
 
 // WaitUntil blocks until virtual time t (no-op if t is in the past,
 // beyond a yield).
 func (p *Proc) WaitUntil(t Time) {
-	p.selfWakeAt(t)
+	p.k.atResume(t, p)
 	p.park()
 }
 
 // Yield gives other events scheduled for the current instant a chance
 // to run before this proc continues.
 func (p *Proc) Yield() {
-	p.selfWakeAt(p.k.now)
+	p.k.atResume(p.k.now, p)
 	p.park()
 }
 
 // Wait blocks until c fires. If c has already fired it returns
 // immediately without yielding.
-//
-// Inside a parallel batch, an un-fired completion demotes the segment
-// to the serialized commit lane before parking: an earlier batch
-// member's serialized tail may be about to fire c, and sequential
-// execution would then not have parked here at all. Serializing first
-// makes the fired check exact, so a batched proc only ever parks where
-// the sequential kernel parks too.
 func (p *Proc) Wait(c *Completion) {
 	if c.fired {
 		return
-	}
-	if p.stage != nil {
-		p.Exclusive()
-		if c.fired {
-			return
-		}
 	}
 	c.addWaiter(waiter{p, p.armWait()})
 	p.park()
@@ -230,17 +137,9 @@ func (p *Proc) WaitTimeout(c *Completion, d Duration) bool {
 	if c.fired {
 		return true
 	}
-	if p.stage != nil {
-		// Same staleness rule as Wait: only park where the sequential
-		// kernel provably parks.
-		p.Exclusive()
-		if c.fired {
-			return true
-		}
-	}
 	seq := p.armWait()
 	c.addWaiter(waiter{p, seq})
-	p.selfResumeIfAt(p.k.now+d, seq)
+	p.k.atResumeIf(p.k.now+d, p, seq)
 	p.park()
 	p.waitArmed = false
 	return c.fired

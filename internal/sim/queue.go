@@ -40,7 +40,7 @@ const (
 	// evResume unconditionally resumes a parked proc.
 	evResume
 	// evResumeIf resumes a proc only if it is still parked on the
-	// guarded wait armed with aux (see Kernel.resumeIf).
+	// guarded wait armed with aux (see Proc.waitSeq).
 	evResumeIf
 	// evFire fires a completion if its generation still equals aux;
 	// a recycled completion dissolves the event.
@@ -111,10 +111,6 @@ func (r *nowRing) pop() event {
 	r.n--
 	return e
 }
-
-// peek returns the oldest event without removing it. The ring must be
-// non-empty.
-func (r *nowRing) peek() event { return r.buf[r.head] }
 
 // grow doubles the ring (cold path: runs O(log n) times ever).
 //
@@ -259,13 +255,6 @@ func (q *calendarQueue) pop() event {
 		q.resize(len(q.buckets) / 2)
 	}
 	return e
-}
-
-// peek returns the minimum event without removing it. The queue must
-// be non-empty.
-func (q *calendarQueue) peek() event {
-	q.locate()
-	return q.buckets[q.cacheBucket][q.heads[q.cacheBucket]]
 }
 
 // minTime reports the (time) of the minimum event, if any.

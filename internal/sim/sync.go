@@ -110,44 +110,21 @@ func (c *Completion) Gen() uint64 { return c.gen }
 // twice is a no-op.
 //
 //scaffe:hotpath
-func (c *Completion) Fire() { c.FireFrom(nil) }
-
-// FireFrom is Fire with an explicit acting proc: when actor is running
-// the concurrent part of a parallel batch, the waiter wake-ups and
-// callback dispatches are staged on its segment and replayed by the
-// commit loop in exact global order instead of touching the shared
-// event queue. With a nil actor (kernel context, or any serial
-// context) it is identical to Fire.
-//
-//scaffe:hotpath
-//scaffe:parallel
-func (c *Completion) FireFrom(actor *Proc) {
+func (c *Completion) Fire() {
 	if c.fired {
 		return
 	}
 	c.fired = true
 	c.firedAt = c.k.now
-	var s *parSegment
-	if actor != nil {
-		s = actor.stage
-	}
 	waiters := c.waiters
 	for i, w := range waiters {
-		if s != nil {
-			s.add(event{kind: evResumeIf, p: w.p, aux: w.seq, at: c.k.now})
-		} else {
-			c.k.atResumeIf(c.k.now, w.p, w.seq)
-		}
+		c.k.atResumeIf(c.k.now, w.p, w.seq)
 		waiters[i] = waiter{}
 	}
 	c.waiters = waiters[:0]
 	cbs := c.cbs
 	for i, fn := range cbs {
-		if s != nil {
-			s.add(event{kind: evFunc, fn: fn, at: c.k.now})
-		} else {
-			c.k.At(c.k.now, fn)
-		}
+		c.k.At(c.k.now, fn)
 		cbs[i] = nil
 	}
 	c.cbs = cbs[:0]
@@ -244,19 +221,17 @@ func (q *Queue) Put(p *Proc, v any) {
 		p.park()
 	}
 	q.items = append(q.items, v)
-	q.wakeOneGetter(p)
+	q.wakeOneGetter()
 }
 
 // TryPut appends v without blocking; it reports false if the queue is
-// full. It is a serial-context primitive (kernel callbacks, tests);
-// batched procs use Put, which routes the wake through the acting
-// proc's stage.
+// full.
 func (q *Queue) TryPut(v any) bool {
 	if q.cap > 0 && len(q.items) >= q.cap {
 		return false
 	}
 	q.items = append(q.items, v)
-	q.wakeOneGetter(nil)
+	q.wakeOneGetter()
 	return true
 }
 
@@ -269,48 +244,32 @@ func (q *Queue) Get(p *Proc) any {
 	}
 	v := q.items[0]
 	q.items = q.items[1:]
-	q.wakeOnePutter(p)
+	q.wakeOnePutter()
 	return v
 }
 
-func (q *Queue) wakeOneGetter(from *Proc) {
+func (q *Queue) wakeOneGetter() {
 	// Killed procs leave stale entries behind; skip them so a real
 	// waiter is not starved of its wake-up.
 	for len(q.getters) > 0 {
 		p := q.getters[0]
 		q.getters = q.getters[1:]
 		if !p.finished {
-			q.wake(from, p)
+			q.k.wakeAt(p, q.k.now)
 			return
 		}
 	}
 }
 
-func (q *Queue) wakeOnePutter(from *Proc) {
+func (q *Queue) wakeOnePutter() {
 	for len(q.putters) > 0 {
 		p := q.putters[0]
 		q.putters = q.putters[1:]
 		if !p.finished {
-			q.wake(from, p)
+			q.k.wakeAt(p, q.k.now)
 			return
 		}
 	}
-}
-
-// wake resumes p at the current instant, staging the event when the
-// acting proc is inside a batch's concurrent part. Queues shared
-// across groups are not supported there (the group policy keeps each
-// reader queue inside its rank's group).
-//
-//scaffe:parallel
-func (q *Queue) wake(from, p *Proc) {
-	if from != nil {
-		if s := from.stage; s != nil {
-			s.add(event{kind: evResume, p: p, at: q.k.now})
-			return
-		}
-	}
-	q.k.wakeAt(p, q.k.now)
 }
 
 // Resource models a FIFO-served exclusive resource (a link, a DMA

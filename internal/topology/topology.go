@@ -215,28 +215,6 @@ func New(k *sim.Kernel, name string, nodes, gpusPerNode int, p Params) *Cluster 
 // Name returns the cluster's configured name.
 func (c *Cluster) Name() string { return c.name }
 
-// MinLookahead returns the minimum virtual-time horizon between an
-// action on one rank and its earliest possible effect on another: the
-// per-call software overhead plus the smallest one-way latency of any
-// link class in the model. No transfer, eager or rendezvous, can land
-// on a remote rank sooner, so the simulation kernel can safely run
-// same-instant events of different ranks concurrently when armed with
-// this window (sim.Kernel.SetParallel; DESIGN.md §13). A zero result
-// (a degenerate all-zero-latency calibration) disarms parallel
-// execution rather than shrinking the window.
-func (c *Cluster) MinLookahead() sim.Duration {
-	min := c.P.PCIeLat
-	for _, l := range []sim.Duration{c.P.IBLat, c.P.GDRLat, c.P.IPCLat} {
-		if l < min {
-			min = l
-		}
-	}
-	if min < 0 {
-		min = 0
-	}
-	return c.P.SWOverhead + min
-}
-
 // NumNodes returns the number of hosts.
 func (c *Cluster) NumNodes() int { return len(c.Nodes) }
 

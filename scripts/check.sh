@@ -39,20 +39,9 @@ go build ./...
 
 echo "== event-kernel zero-alloc gate =="
 # The pooled event kernel must not allocate in steady state (DESIGN.md
-# §12) — in either mode: the sequential daisy-chain and the sharded
-# parallel-lookahead batches (DESIGN.md §13) are gated separately. Run
-# un-instrumented first, since race instrumentation itself allocates
-# and would mask a regression.
-go test -run '^TestSimKernelZeroAllocSteadyState$|^TestSimKernelParallelZeroAllocSteadyState$' -count=1 ./internal/sim
-
-echo "== parallel-kernel race gate =="
-# The sharded kernel's speculative segments only run concurrently when
-# batches form, and the host may have too few cores for the engine's
-# auto policy to arm them — so run the sim and mpi parallel suites
-# race-instrumented with batching forced explicitly. These tests pin
-# bit-identity against the sequential kernel while the race detector
-# watches the speculation, staging, and commit paths.
-go test -race -run 'Parallel' -count=1 ./internal/sim ./internal/mpi
+# §12). Run un-instrumented first, since race instrumentation itself
+# allocates and would mask a regression.
+go test -run '^TestSimKernelZeroAllocSteadyState$' -count=1 ./internal/sim
 
 echo "== elastic churn drill =="
 # The elastic membership acceptance bar (DESIGN.md §14): the 32-rank
