@@ -137,15 +137,23 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// mustModel returns a registered model's cost spec.
+func mustModel(name string) *models.Spec {
+	spec, err := models.ByName(name)
+	if err != nil {
+		panic(err) // a registered model; unreachable
+	}
+	return spec
+}
+
 // Config builds the training config a chaos run fuzzes (without the
 // schedule — Run attaches it after calibrating against the fault-free
 // baseline).
 func (s Spec) Config() core.Config {
 	s = s.withDefaults()
 	if s.Real {
-		net := models.BuildTinyNet(1, 1)
 		return core.Config{
-			Spec:        models.SpecFromNet(net),
+			Spec:        mustModel("tiny"),
 			RealNet:     models.BuildTinyNet,
 			Dataset:     data.NewSynthetic("tiny", layers.Shape{C: 3, H: 8, W: 8}, 4, 4096, 11),
 			GPUs:        s.Ranks,
@@ -163,12 +171,8 @@ func (s Spec) Config() core.Config {
 			CaptureFinalParams: true,
 		}
 	}
-	spec, err := models.ByName("cifar10-quick")
-	if err != nil {
-		panic(err) // a registered model; unreachable
-	}
 	return core.Config{
-		Spec:        spec,
+		Spec:        mustModel("cifar10-quick"),
 		GPUs:        s.Ranks,
 		Nodes:       2,
 		GPUsPerNode: (s.Ranks + 1) / 2,

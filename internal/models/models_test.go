@@ -3,8 +3,10 @@ package models
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"scaffe/internal/layers"
 	"scaffe/internal/tensor"
 )
 
@@ -231,5 +233,37 @@ func TestRealAlexNetForward(t *testing.T) {
 	// Random init over 1000 classes: loss ≈ ln(1000) ≈ 6.9.
 	if loss < 4 || loss > 10 {
 		t.Errorf("AlexNet initial loss %v far from ln(1000)", loss)
+	}
+}
+
+// TestByNameNetSpecCached: the specs ByName derives from real nets are
+// built once, equal a fresh SpecFromNet, and come back as independent
+// copies, so mutating one cannot change the next.
+func TestByNameNetSpecCached(t *testing.T) {
+	builders := map[string]func(batch int, seed int64) *layers.Net{
+		"lenet":         BuildLeNet,
+		"cifar10-quick": BuildCIFAR10Quick,
+		"cifar10":       BuildCIFAR10Quick,
+		"tiny":          BuildTinyNet,
+	}
+	for name, build := range builders {
+		got, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SpecFromNet(build(1, 1))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: cached spec differs from a fresh SpecFromNet", name)
+		}
+		got.Name = "mutated"
+		got.Layers[0].ParamElems = -1
+		got.Layers = append(got.Layers[:1], LayerSpec{Name: "extra"})
+		again, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: mutating a returned spec changed the next one", name)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package models
 
 import (
 	"fmt"
+	"sync"
 
 	"scaffe/internal/layers"
 )
@@ -94,13 +95,14 @@ func (s *Spec) BwdFLOPs() float64 {
 	return t
 }
 
-// ByName returns the Spec for a model name.
+// ByName returns the Spec for a model name. Every call returns a
+// fresh Spec the caller may modify.
 func ByName(name string) (*Spec, error) {
 	switch name {
 	case "lenet":
-		return SpecFromNet(BuildLeNet(1, 1)), nil
+		return lenetSpec.get(), nil
 	case "cifar10-quick", "cifar10":
-		return SpecFromNet(BuildCIFAR10Quick(1, 1)), nil
+		return cifar10QuickSpec.get(), nil
 	case "alexnet":
 		return AlexNet(), nil
 	case "caffenet":
@@ -112,9 +114,33 @@ func ByName(name string) (*Spec, error) {
 	case "nin":
 		return NetworkInNetwork(), nil
 	case "tiny":
-		return SpecFromNet(BuildTinyNet(1, 1)), nil
+		return tinySpec.get(), nil
 	}
 	return nil, fmt.Errorf("models: unknown model %q", name)
+}
+
+// netSpec derives a Spec from a real net once: building and
+// initialising the net costs milliseconds and megabytes, and the
+// chaos harness asks for a spec on every run.
+type netSpec struct {
+	build func(batch int, seed int64) *layers.Net
+	once  sync.Once
+	spec  *Spec
+}
+
+var (
+	lenetSpec        = &netSpec{build: BuildLeNet}
+	cifar10QuickSpec = &netSpec{build: BuildCIFAR10Quick}
+	tinySpec         = &netSpec{build: BuildTinyNet}
+)
+
+// get returns a copy of the derived Spec with its own Layers slice, so
+// no caller can alias the cached one.
+func (d *netSpec) get() *Spec {
+	d.once.Do(func() { d.spec = SpecFromNet(d.build(1, 1)) })
+	s := *d.spec
+	s.Layers = append([]LayerSpec(nil), d.spec.Layers...)
+	return &s
 }
 
 // SpecFromNet derives a cost-model Spec from a real network, so the

@@ -1,10 +1,17 @@
+//go:build go1.23
+
+// The constraint raises this file's language version to go1.23, which
+// iter.Pull needs while go.mod still says go 1.22; drop it when go.mod
+// moves to go 1.23.
+
 // Package sim implements a deterministic discrete-event simulation
-// kernel. Simulated processes ("procs") are goroutines that run
-// cooperatively: exactly one proc (or the kernel itself) executes at a
-// time, and all blocking operations park the proc on the kernel's
-// event queue. Events are ordered by (virtual time, sequence number),
-// so a simulation with a fixed set of inputs is bit-for-bit
-// reproducible across runs.
+// kernel. Simulated processes ("procs") are coroutines (iter.Pull)
+// driven by Kernel.Run: exactly one proc (or the kernel itself)
+// executes at a time, and all blocking operations park the proc on the
+// kernel's event queue. A resume is a direct coroutine switch, with no
+// goroutine scheduling, channel or futex on the path. Events are
+// ordered by (virtual time, sequence number), so a simulation with a
+// fixed set of inputs is bit-for-bit reproducible across runs.
 //
 // The kernel carries virtual time only; wall-clock time spent in Go
 // code inside a proc is invisible to the simulation. A proc advances
@@ -14,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -69,10 +77,10 @@ type Kernel struct {
 	failure  error
 	compPool []*Completion
 
-	// home returns the baton to the Run goroutine when the event loop —
-	// which migrates across proc goroutines (see loopFrom) — reaches a
-	// terminal state on one of them.
-	home chan struct{}
+	// handoff is the proc the event loop last handed control to: a
+	// parking proc that finds another proc's resume yields back to Run,
+	// and Run resumes handoff.
+	handoff *Proc
 }
 
 // New returns a fresh kernel at virtual time zero.
@@ -168,30 +176,27 @@ func (k *Kernel) pending() int { return k.nowQ.len() + k.cal.count }
 type loopState int
 
 const (
-	// loopHanded: the baton was handed to another proc via its wake
-	// channel; the caller must block (or, for a finishing proc, exit).
+	// loopHanded: the next event resumes another proc, recorded in
+	// k.handoff; Run must resume it (a parking caller yields to Run
+	// first).
 	loopHanded loopState = iota
 	// loopSelf: the next event resumes the calling proc itself; no
-	// channel round-trip is needed — the caller just keeps running.
+	// switch is needed — the caller just keeps running.
 	loopSelf
 	// loopTerminal: no events remain, Stop was called, the deadline
-	// passed, or a failure was recorded. The caller must return the
-	// baton to the Run goroutine (k.home) unless it is the Run
-	// goroutine.
+	// passed, or a failure was recorded. A parking caller yields to
+	// Run, which returns.
 	loopTerminal
 )
 
-// loopFrom runs the event loop on the current goroutine until control
-// is handed off or the simulation terminates. The loop migrates: when
-// an event resumes a proc, the loop stops here and continues inside
-// that proc's goroutine the next time it parks — a parking proc calls
-// loopFrom itself instead of yielding to a central scheduler, halving
-// the goroutine switches per segment. self is the calling proc (nil
-// when called from Run or a finishing proc) and enables the zero-switch
-// fast path when the next event resumes the caller.
+// loopFrom runs the event loop until control must pass to a proc or
+// the simulation terminates. It runs on Run's goroutine (self == nil)
+// or inside a parking proc's coroutine (self == that proc): a parking
+// proc drives the loop itself, so when the next event resumes that
+// same proc it keeps running with no switch at all. When an event
+// resumes another proc, the loop records it in k.handoff and stops.
 //
-// Exactly one goroutine executes loopFrom at any moment — control
-// passes through an unbroken chain of channel operations — so kernel
+// Exactly one coroutine executes loopFrom at any moment, so kernel
 // state needs no locking and event order is identical to the classic
 // central loop.
 func (k *Kernel) loopFrom(self *Proc) loopState {
@@ -217,7 +222,7 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 			if p == self {
 				return loopSelf
 			}
-			p.wake <- struct{}{}
+			k.handoff = p
 			return loopHanded
 		case evResumeIf:
 			p := ev.p
@@ -227,7 +232,7 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 			if p == self {
 				return loopSelf
 			}
-			p.wake <- struct{}{}
+			k.handoff = p
 			return loopHanded
 		case evFunc:
 			ev.fn()
@@ -243,14 +248,17 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 // that every spawned proc has finished. It returns an error on
 // deadlock (procs remain parked with no pending events) or if the
 // deadline set by SetDeadline is exceeded.
+//
+// Run is the one driver of the procs' coroutines. It resumes the proc
+// the loop handed control to; that proc runs until it parks on
+// another proc's resume (handoff set again: resume that one), or
+// finishes or reaches a terminal state (handoff nil: continue the
+// loop here, which returns at once if the state is terminal).
 func (k *Kernel) Run() error {
-	if k.home == nil {
-		k.home = make(chan struct{})
-	}
-	if k.loopFrom(nil) == loopHanded {
-		// The loop migrated onto proc goroutines; whichever one reaches
-		// a terminal state sends the baton home.
-		<-k.home
+	for k.handoff != nil || k.loopFrom(nil) == loopHanded {
+		p := k.handoff
+		k.handoff = nil
+		p.next()
 	}
 	if k.failure != nil {
 		return k.failure
@@ -275,11 +283,14 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Spawn creates a new simulated process running fn and schedules it to
 // start at the current virtual time. It may be called before Run or
 // from within any proc or event callback.
+//
+// The body runs as a coroutine that Run starts on the proc's first
+// resume. Parked procs left behind by a deadlock or Stop stay
+// suspended; their coroutines are never stopped.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, wake: make(chan struct{})}
-	k.procs = append(k.procs, p)
-	k.live++
-	go func() {
+	p := &Proc{k: k, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			// A panicking proc fails the whole simulation rather than
 			// the process: Run surfaces it as an error. The kill
@@ -291,22 +302,21 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 				fail = fmt.Errorf("sim: proc %q panicked at %v: %v\n%s", p.name, k.now, rec, debug.Stack())
 			}
 			p.finished = true
+			// Drop the coroutine: the kernel keeps its procs, and the
+			// coroutine would keep fn and all it captured alive.
+			p.next, p.yield = nil, nil
 			if fail != nil && k.failure == nil {
 				k.failure = fail
 			}
 			k.live--
-			// The finishing proc owns the baton: keep driving the event
-			// loop here, exactly as park does.
-			if k.loopFrom(nil) == loopTerminal {
-				k.home <- struct{}{}
-			}
 		}()
-		<-p.wake // wait for the kernel to hand us the baton
 		if p.killed {
 			panic(procKilled{})
 		}
 		fn(p)
-	}()
+	})
+	k.procs = append(k.procs, p)
+	k.live++
 	k.atResume(k.now, p)
 	return p
 }

@@ -1,20 +1,25 @@
 package sim
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by
+// Proc is a simulated process: a coroutine scheduled cooperatively by
 // the kernel. At most one proc runs at any instant, so proc code may
 // touch shared simulation state without locks.
 type Proc struct {
 	k        *Kernel
 	name     string
-	wake     chan struct{}
 	finished bool
 	killed   bool
+
+	// next resumes the proc's coroutine (Run calls it); yield, called
+	// from inside the coroutine, suspends it and returns control to
+	// Run. yield reports false only if the coroutine was stopped.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// waitSeq/waitArmed guard completion wake-ups: every Wait arms a
 	// fresh sequence number, and a wake event only delivers if the proc
 	// is still parked on that same wait. This lets a completion and a
 	// timeout race for the same parked proc without ever resuming it
-	// twice (a double resume would block the kernel goroutine).
+	// twice.
 	waitSeq   uint64
 	waitArmed bool
 }
@@ -57,12 +62,11 @@ func (p *Proc) Now() Time { return p.k.now }
 // park yields control to the kernel and blocks until some event
 // resumes this proc. A killed proc unwinds here instead of returning.
 //
-// In the sequential daisy-chain, the parking proc runs the event loop
-// itself (loopFrom) and hands the baton directly to the next proc —
-// one goroutine switch per segment instead of two — or keeps running
-// with no switch at all when the next event resumes this same proc.
+// The parking proc runs the event loop itself (loopFrom). When the
+// next event resumes this same proc it keeps running with no switch
+// at all; otherwise it yields to Run, which resumes the proc the loop
+// handed control to.
 func (p *Proc) park() {
-	k := p.k
 	// The loopFrom call is a context switch, not a subroutine: the
 	// parking proc's hot frame ends here and the event loop runs other
 	// procs' events under its own gates (the kernel's //scaffe:hotpath
@@ -70,14 +74,9 @@ func (p *Proc) park() {
 	// obligations must not flood into it.
 	//
 	//scaffe:coldpath control transfer into the event loop; the kernel's own hotpath gates cover it
-	switch k.loopFrom(p) {
-	case loopSelf:
-		// The next event resumes this proc: keep running.
-	case loopTerminal:
-		k.home <- struct{}{}
-		<-p.wake
-	case loopHanded:
-		<-p.wake
+	if p.k.loopFrom(p) != loopSelf && !p.yield(struct{}{}) {
+		// A stopped coroutine must unwind, never resume as if woken.
+		p.killed = true
 	}
 	if p.killed {
 		panic(procKilled{})

@@ -39,9 +39,9 @@ go build ./...
 
 echo "== event-kernel zero-alloc gate =="
 # The pooled event kernel must not allocate in steady state (DESIGN.md
-# §12). Run un-instrumented first, since race instrumentation itself
-# allocates and would mask a regression.
-go test -run '^TestSimKernelZeroAllocSteadyState$' -count=1 ./internal/sim
+# §12), and neither may a proc resume. Run un-instrumented first, since
+# race instrumentation itself allocates and would mask a regression.
+go test -run '^TestSimKernelZeroAllocSteadyState$|^TestProcResumeZeroAlloc$' -count=1 ./internal/sim
 
 echo "== elastic churn drill =="
 # The elastic membership acceptance bar (DESIGN.md §14): the 32-rank
@@ -72,6 +72,12 @@ echo "== go test -race =="
 # Race instrumentation slows the simulator ~10x; the core package needs
 # more than the default 10-minute per-package budget.
 go test -race -timeout 45m ./...
+
+echo "== benchmark module =="
+# _hostbench is its own module (replace scaffe => ../), so nothing
+# above builds it: a root go directive bump or a removed field it still
+# sets would break the benchmark unnoticed.
+(cd _hostbench && go vet ./... && go test ./...)
 
 echo "== fuzz smoke =="
 # A few seconds per target keeps the parsers honest without turning the
